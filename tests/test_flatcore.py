@@ -12,11 +12,17 @@ Three promises are enforced here:
   byte-identical to the in-memory solve, and re-serialising reproduces
   the original buffer bit for bit;
 * **laziness** — a deserialised system rehydrates variable names and
-  ``QualVar`` objects only on demand.
+  ``QualVar`` objects only on demand, and numpy/scipy load only when a
+  solve reaches the fast kernel.
 """
 
+import contextlib
 import mmap
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -93,17 +99,25 @@ def test_flat_solve_fingerprints_match_both_solvers(data):
     assert flat[:2] == reference[:2]
 
 
+@contextlib.contextmanager
+def stdlib_kernel():
+    """Run the block as if numpy were missing: the lazy probe reports
+    no fast kernel, and the previous probe state comes back after."""
+    saved = (flatcore._FAST, flatcore._probed)
+    flatcore._FAST, flatcore._probed = None, True
+    try:
+        yield
+    finally:
+        flatcore._FAST, flatcore._probed = saved
+
+
 @given(constraint_systems())
 @settings(max_examples=100, deadline=None)
 def test_stdlib_kernel_matches_fast_kernel(data):
     lattice, constraints = data
     fast = verdict(flat_solve, constraints, lattice, _VARS)
-    saved = flatcore._FAST
-    flatcore._FAST = None
-    try:
+    with stdlib_kernel():
         slow = verdict(flat_solve, constraints, lattice, _VARS)
-    finally:
-        flatcore._FAST = saved
     assert fast == slow
 
 
@@ -180,6 +194,43 @@ class TestFastPathParity:
             solve(constraints, lattice)
         assert str(fast.value) == str(slow.value)
         assert fast.value.explain() == slow.value.explain()
+
+
+class TestLazyNumpy:
+    """numpy and scipy load on the first fast-kernel solve, not on
+    import: cold CLI runs below the dispatch threshold never pay for
+    them."""
+
+    @pytest.mark.parametrize("entry", ["repro.checker.cli", "repro.serve.cli"])
+    def test_entry_points_do_not_import_numpy(self, entry):
+        src = str(Path(flatcore.__file__).resolve().parents[2])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            f"import sys, {entry}\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_large_system_still_runs_the_fast_kernel(self, monkeypatch):
+        if not fast_available():
+            pytest.skip("numpy/scipy not installed, or REPRO_FLATCORE=stdlib")
+        calls = []
+        kernel = flatcore._kernel_fast
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(flatcore, "_kernel_fast", counted)
+        lattice = const_lattice()
+        variables, constraints = big_system(lattice)
+        assert len(variables) + len(constraints) >= 1024
+        solution = solve(constraints, lattice)
+        assert calls == [len(variables)]
+        assert type(solution).__name__ == "FlatSolution"
 
 
 class TestRoundTrip:
