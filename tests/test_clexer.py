@@ -57,6 +57,18 @@ class TestOperators:
             toks = kinds(f"a {op} b")
             assert toks[1][1] == op
 
+    @pytest.mark.parametrize(
+        "op",
+        "... <<= >>= -> ++ -- << >> <= >= == != && || += -= *= /= %= &= ^= |= "
+        "+ - * / % & | ^ ~ ! < > = ? : ; , . ( ) [ ] { }".split(),
+    )
+    def test_every_punctuator_is_one_token(self, op):
+        assert kinds(f"a{op}b") == [
+            (CTokenKind.IDENT, "a"),
+            (CTokenKind.PUNCT, op),
+            (CTokenKind.IDENT, "b"),
+        ]
+
 
 class TestCommentsAndPreprocessor:
     def test_line_comment(self):
