@@ -401,30 +401,32 @@ def classify_cast(src: CType, dst: CType) -> CastClass:
     if not src_levels or not dst_levels:
         return CastClass.VALUE
 
-    away = added = False
-
-    def walk(s: CType, d: CType) -> None:
-        nonlocal away, added
-        for (_, s_ref), (_, d_ref) in zip(_ref_levels(s), _ref_levels(d)):
-            s_const, d_const = is_const(s_ref), is_const(d_ref)
-            if s_const and not d_const:
-                away = True
-            elif d_const and not s_const:
-                added = True
-            if isinstance(s_ref, CFunc) and isinstance(d_ref, CFunc):
-                walk_func(s_ref, d_ref)
-
-    def walk_func(s: CFunc, d: CFunc) -> None:
-        walk(s.ret, d.ret)
-        for sp, dp in zip(s.params, d.params):
-            walk(sp, dp)
-
-    walk(src, dst)
+    away, added = _const_changes(src, dst)
     if away:
         return CastClass.AWAY_CONST
     if added:
         return CastClass.ADDS_CONST
     return CastClass.PRESERVES
+
+
+def _const_changes(s: CType, d: CType) -> tuple[bool, bool]:
+    """``(away, added)``: whether some matched referenced level of ``s``
+    and ``d``, function-pointer signatures included, drops or adds
+    ``const``.  A plain recursive function, not a closure pair, so a call
+    leaves no reference cycle behind."""
+    away = added = False
+    for (_, s_ref), (_, d_ref) in zip(_ref_levels(s), _ref_levels(d)):
+        s_const, d_const = is_const(s_ref), is_const(d_ref)
+        if s_const and not d_const:
+            away = True
+        elif d_const and not s_const:
+            added = True
+        if isinstance(s_ref, CFunc) and isinstance(d_ref, CFunc):
+            for sub_s, sub_d in zip((s_ref.ret, *s_ref.params), (d_ref.ret, *d_ref.params)):
+                sub_away, sub_added = _const_changes(sub_s, sub_d)
+                away |= sub_away
+                added |= sub_added
+    return away, added
 
 
 def casts_away_const(src: CType, dst: CType) -> bool:

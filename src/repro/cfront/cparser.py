@@ -24,6 +24,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..gcscope import defer_full_collections
 from .cast import (
     Assignment,
     Binary,
@@ -1087,6 +1088,7 @@ def _substitute_placeholder(shape: CType, replacement: CType) -> CType:
     return shape
 
 
+@defer_full_collections
 def parse_c(source: str, filename: str = "<input>") -> TranslationUnit:
     """Parse C source into a :class:`TranslationUnit`.
 

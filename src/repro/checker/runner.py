@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..constinfer.cache import AnalysisCache
+from ..gcscope import defer_full_collections
 from .checks import DEFAULT_CHECKS, QualifierCheck, check_by_name, config_digest
 from .diagnostics import (
     Baseline,
@@ -316,6 +317,7 @@ def check_paths(
     return report
 
 
+@defer_full_collections
 def analyze(
     paths: Sequence[str | Path],
     *,

@@ -24,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..cfront.sema import Program
+from ..gcscope import defer_full_collections
 from ..qual.lattice import QualifierLattice
 from ..qual.poly import generalize
 from ..qual.qtypes import (
@@ -131,6 +132,7 @@ class InferenceRun:
         return len(self.positions)
 
 
+@defer_full_collections
 def run_mono(
     program: Program,
     lattice: QualifierLattice | None = None,
@@ -180,6 +182,7 @@ def run_mono(
 _UID_BAND_SIZE = 1 << 20
 
 
+@defer_full_collections
 def run_poly(
     program: Program,
     lattice: QualifierLattice | None = None,
@@ -389,6 +392,7 @@ def _run_poly_wavefront(
     )
 
 
+@defer_full_collections
 def run_polyrec(
     program: Program,
     lattice: QualifierLattice | None = None,

@@ -457,24 +457,30 @@ def _evidence(
 
 
 def _first_event(fn: LoweredFunction, var: str) -> tuple[str, int, int]:
-    def scan(stmts: tuple[FlowStmt, ...]) -> tuple[str, int, int] | None:
-        for s in stmts:
-            if isinstance(s, NewCell) and s.target == var:
-                if s.site in fn.alloc_sites:
-                    info = fn.alloc_sites[s.site]
-                    return (info.file, info.line, info.col)
-            if isinstance(s, While):
-                found = scan(s.body)
-                if found:
-                    return found
-            if isinstance(s, If):
-                found = scan(s.then) or scan(s.else_)
-                if found:
-                    return found
-        return None
-
-    hit = scan(fn.body)
+    hit = _scan_alloc(fn.body, fn, var)
     return hit if hit is not None else (fn.file, fn.line, fn.col)
+
+
+def _scan_alloc(
+    stmts: tuple[FlowStmt, ...], fn: LoweredFunction, var: str
+) -> tuple[str, int, int] | None:
+    """The first recorded allocation site assigning ``var`` in ``stmts``.
+    Module-level rather than a recursive closure, which would be a
+    reference cycle per call."""
+    for s in stmts:
+        if isinstance(s, NewCell) and s.target == var:
+            if s.site in fn.alloc_sites:
+                info = fn.alloc_sites[s.site]
+                return (info.file, info.line, info.col)
+        if isinstance(s, While):
+            found = _scan_alloc(s.body, fn, var)
+            if found:
+                return found
+        if isinstance(s, If):
+            found = _scan_alloc(s.then, fn, var) or _scan_alloc(s.else_, fn, var)
+            if found:
+                return found
+    return None
 
 
 def analyze_function_resources(

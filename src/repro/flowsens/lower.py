@@ -285,45 +285,47 @@ def _is_null(e: CExpr) -> bool:
 def _idents_in(e: CExpr) -> list[str]:
     """Every identifier mentioned anywhere inside ``e`` (for escapes)."""
     out: list[str] = []
-
-    def walk(x: CExpr) -> None:
-        match x:
-            case Ident(name=name):
-                out.append(name)
-            case Unary(operand=operand):
-                walk(operand)
-            case Binary(left=left, right=right):
-                walk(left)
-                walk(right)
-            case Assignment(target=target, value=value):
-                walk(target)
-                walk(value)
-            case Conditional(cond=cond, then=then, other=other):
-                walk(cond)
-                walk(then)
-                walk(other)
-            case Call(func=func, args=args):
-                walk(func)
-                for a in args:
-                    walk(a)
-            case Member(base=base):
-                walk(base)
-            case Index(base=base, index=index):
-                walk(base)
-                walk(index)
-            case Cast(operand=operand):
-                walk(operand)
-            case Comma(left=left, right=right):
-                walk(left)
-                walk(right)
-            case InitList(items=items):
-                for item in items:
-                    walk(item)
-            case _:
-                pass
-
-    walk(e)
+    _collect_idents(e, out)
     return out
+
+
+def _collect_idents(x: CExpr, out: list[str]) -> None:
+    # A module-level function, not a closure over ``out``: a recursive
+    # closure is a reference cycle per call.
+    match x:
+        case Ident(name=name):
+            out.append(name)
+        case Unary(operand=operand):
+            _collect_idents(operand, out)
+        case Binary(left=left, right=right):
+            _collect_idents(left, out)
+            _collect_idents(right, out)
+        case Assignment(target=target, value=value):
+            _collect_idents(target, out)
+            _collect_idents(value, out)
+        case Conditional(cond=cond, then=then, other=other):
+            _collect_idents(cond, out)
+            _collect_idents(then, out)
+            _collect_idents(other, out)
+        case Call(func=func, args=args):
+            _collect_idents(func, out)
+            for a in args:
+                _collect_idents(a, out)
+        case Member(base=base):
+            _collect_idents(base, out)
+        case Index(base=base, index=index):
+            _collect_idents(base, out)
+            _collect_idents(index, out)
+        case Cast(operand=operand):
+            _collect_idents(operand, out)
+        case Comma(left=left, right=right):
+            _collect_idents(left, out)
+            _collect_idents(right, out)
+        case InitList(items=items):
+            for item in items:
+                _collect_idents(item, out)
+        case _:
+            pass
 
 
 class _Lowerer:

@@ -23,6 +23,8 @@ drawn in Figure 2 (const x dynamic x nonzero).
 
 from __future__ import annotations
 
+import functools
+
 from .lattice import Qualifier, QualifierLattice, negative, positive
 
 CONST: Qualifier = positive("const")
@@ -57,44 +59,52 @@ ALL_QUALIFIERS: dict[str, Qualifier] = {
 }
 
 
+@functools.cache
+def _shared(*qualifiers: Qualifier) -> QualifierLattice:
+    """One lattice per qualifier list.  A lattice and its interned
+    elements point at each other, so building one per call would leave a
+    reference cycle behind every time."""
+    return QualifierLattice(qualifiers)
+
+
 def const_lattice() -> QualifierLattice:
     """The lattice used by the Section 4 const-inference system."""
-    return QualifierLattice([CONST])
+    return _shared(CONST)
 
 
 def const_nonzero_lattice() -> QualifierLattice:
     """Lattice for the Section 2.4 soundness counterexample (const, nonzero)."""
-    return QualifierLattice([CONST, NONZERO])
+    return _shared(CONST, NONZERO)
 
 
 def paper_figure2_lattice() -> QualifierLattice:
     """The eight-element lattice of Figure 2: const x dynamic x nonzero."""
-    return QualifierLattice([CONST, DYNAMIC, NONZERO])
+    return _shared(CONST, DYNAMIC, NONZERO)
 
 
 def binding_time_lattice() -> QualifierLattice:
     """Binding-time analysis lattice: static (= absence) <= dynamic."""
-    return QualifierLattice([DYNAMIC])
+    return _shared(DYNAMIC)
 
 
 def taint_lattice() -> QualifierLattice:
     """Secure information flow: untainted (= absence) <= tainted."""
-    return QualifierLattice([TAINTED])
+    return _shared(TAINTED)
 
 
 def nonnull_lattice() -> QualifierLattice:
     """lclint-style nonnull pointers: nonnull <= possibly-null (absence)."""
-    return QualifierLattice([NONNULL])
+    return _shared(NONNULL)
 
 
 def sorted_lattice() -> QualifierLattice:
     """Sorted-list qualifier of Section 2.3: sorted <= possibly-unsorted."""
-    return QualifierLattice([SORTED])
+    return _shared(SORTED)
 
 
 def local_lattice() -> QualifierLattice:
     """Titanium local pointers: local <= possibly-remote (absence)."""
-    return QualifierLattice([LOCAL])
+    return _shared(LOCAL)
 
 
 def resource_lattice() -> QualifierLattice:
@@ -106,7 +116,7 @@ def resource_lattice() -> QualifierLattice:
     ``{alloc}`` (obligation incurred, not yet discharged); a free
     strongly updates to ``{freed, released}`` (discharged, and any later
     free/use is an error)."""
-    return QualifierLattice([ALLOC, FREED, RELEASED])
+    return _shared(ALLOC, FREED, RELEASED)
 
 
 def make_lattice(*names: str) -> QualifierLattice:
@@ -114,4 +124,4 @@ def make_lattice(*names: str) -> QualifierLattice:
     missing = [n for n in names if n not in ALL_QUALIFIERS]
     if missing:
         raise KeyError(f"unknown qualifier names: {missing}; have {sorted(ALL_QUALIFIERS)}")
-    return QualifierLattice([ALL_QUALIFIERS[n] for n in names])
+    return _shared(*(ALL_QUALIFIERS[n] for n in names))

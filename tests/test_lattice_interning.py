@@ -6,8 +6,8 @@ import pickle
 
 import pytest
 
-from repro.qual.lattice import LatticeError
-from repro.qual.qualifiers import const_lattice, paper_figure2_lattice
+from repro.qual.lattice import LatticeError, QualifierLattice
+from repro.qual.qualifiers import CONST, const_lattice, make_lattice, paper_figure2_lattice
 
 
 def all_elements(lattice):
@@ -42,12 +42,19 @@ class TestInterning:
         assert const_lat.top is const_lat.element(*const_lat.top.present)
 
     def test_distinct_but_equal_lattices_compare_equal(self):
-        first, second = const_lattice(), const_lattice()
+        first, second = QualifierLattice([CONST]), QualifierLattice([CONST])
         a = first.element("const")
         b = second.element("const")
         assert a is not b  # separate intern tables
         assert a == b  # structural equality still holds
         assert hash(a) == hash(b)
+
+    def test_named_lattices_are_shared(self):
+        # One instance per qualifier list: no lattice/element reference
+        # cycle is rebuilt per call.
+        assert const_lattice() is const_lattice()
+        assert make_lattice("const") is const_lattice()
+        assert paper_figure2_lattice() is paper_figure2_lattice()
 
     def test_unknown_qualifier_rejected(self, const_lat):
         with pytest.raises(LatticeError):
