@@ -5,9 +5,10 @@ AST nodes, qualifier variables, constraints and their origins.  CPython's
 collector walks every tracked object on a full (generation-2) collection,
 so on a whole-program run those sweeps cost seconds and free almost
 nothing.  While any call decorated with :func:`defer_full_collections` is
-on the stack (in any thread), the generation-2 threshold is raised out of
-reach; generations 0 and 1 keep running, so short-lived cyclic garbage is
+on the stack, the generation-2 threshold is raised out of reach; generations 0 and 1 keep running, so short-lived cyclic garbage is
 still reclaimed.  The outermost exit restores the caller's thresholds.
+The analyses themselves run in one thread; the lock only keeps the
+nesting count exact for a host program that calls them from several.
 """
 
 from __future__ import annotations

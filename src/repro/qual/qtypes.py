@@ -220,16 +220,17 @@ _band_local = threading.local()
 
 
 class UidBandExhausted(RuntimeError):
-    """A reserved uid band overflowed; the caller must retry serially
-    (or with a larger band)."""
+    """A reserved uid band overflowed; the caller must retry with a
+    larger band."""
 
 
 class UidBand:
-    """A half-open uid range ``[next, end)`` serving one thread's fresh
-    variables.  Bands make concurrent constraint generation
-    *deterministic*: each worker draws uids from its own pre-assigned
-    range, so the variables a task allocates are a pure function of the
-    task and its band start — independent of scheduling interleavings."""
+    """A half-open uid range ``[next, end)`` serving fresh variables.
+    Bands make numbering *absolute*: a task that draws uids from its own
+    pre-assigned range allocates variables that are a pure function of
+    the task and its band start — independent of whatever the process
+    allocated before, so results computed in another process (a cached
+    summary) agree uid for uid with a live run."""
 
     __slots__ = ("start", "next", "end")
 
@@ -251,10 +252,8 @@ class UidBand:
 def fresh_qual_var(hint: str = "k") -> QualVar:
     """Allocate a globally fresh qualifier variable.
 
-    ``next()`` on :func:`itertools.count` is atomic under the GIL, so
-    concurrent allocators still receive distinct uids without a lock.
-    When the calling thread is inside :func:`fresh_uid_band`, uids come
-    from the thread's reserved band instead of the global counter.
+    When the calling thread is inside :class:`use_uid_band`, uids come
+    from that band instead of the global counter.
     """
     band = getattr(_band_local, "band", None)
     if band is not None:
@@ -269,10 +268,7 @@ class use_uid_band:
     calls to ``band`` — a :class:`UidBand`, or ``None`` for the global
     counter.
 
-    The coordinator of a parallel wavefront assigns each worker a
-    disjoint band and afterwards calls :func:`advance_fresh_uids` past
-    every reserved range, so banded uids never collide with later global
-    allocations.  Bands nest: the previous routing is restored on exit.
+    Bands nest: the previous routing is restored on exit.
     """
 
     def __init__(self, band: UidBand | None) -> None:
@@ -286,22 +282,6 @@ class use_uid_band:
 
     def __exit__(self, *exc: object) -> None:
         _band_local.band = self._prev
-
-
-def fresh_uid_band(start: int, size: int) -> use_uid_band:
-    """Reserve ``[start, start + size)`` for this thread's allocations."""
-    return use_uid_band(UidBand(start, size))
-
-
-def advance_fresh_uids(minimum: int) -> None:
-    """Ensure every subsequent global allocation has ``uid >= minimum``.
-
-    Called after a banded wavefront completes so the global counter
-    skips the reserved ranges.  Never moves the counter backwards.
-    """
-    global _fresh_counter
-    current = next(_fresh_counter)
-    _fresh_counter = itertools.count(max(current + 1, minimum))
 
 
 Qual = Union[QualVar, LatticeElement]

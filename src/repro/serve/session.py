@@ -36,7 +36,6 @@ from ..checker.checks import DEFAULT_CHECKS, check_by_name
 from ..checker.render import render_report
 from ..checker.runner import analyze as run_analysis
 from ..constinfer.cache import AnalysisCache
-from ..constinfer.engine import StageTimings
 from ..whole.engine import affected_units, closure_digests, tu_dependence_graph
 from ..whole.linker import link_units
 from .protocol import InvalidParams
@@ -56,7 +55,6 @@ class Session:
         self,
         checks: tuple[str, ...] | None = None,
         cache_dir: str | None = None,
-        jobs: int = 1,
         memory_entries: int = SERVE_MEMORY_ENTRIES,
     ) -> None:
         self.check_names = (
@@ -64,7 +62,6 @@ class Session:
         )
         for name in self.check_names:
             check_by_name(name)  # fail fast on typos
-        self.jobs = jobs
         # Without a configured directory the store is still wanted (the
         # memory tier fronts it; warm restarts just start cold): a
         # private temp dir that lives exactly as long as the session.
@@ -102,7 +99,6 @@ class Session:
         self._analyze_seconds = 0.0
         self._render_seconds = 0.0
         self._last_analyze_seconds = 0.0
-        self._parsed_units = 0
         self._memo_hits = 0
 
     # -- resident parsing ----------------------------------------------
@@ -121,7 +117,6 @@ class Session:
         unit = parse_c(text, name)
         self._parse_seconds += time.perf_counter() - start
         self._parse_memo[name] = (digest, unit)
-        self._parsed_units += 1
         return unit
 
     def parse_unit_resilient(self, name: str, text: str) -> Any:
@@ -137,7 +132,6 @@ class Session:
         result = parse_c_resilient(text, name, include_paths=self._include_paths)
         self._parse_seconds += time.perf_counter() - start
         self._resilient_memo[name] = (digest, self._include_paths, result)
-        self._parsed_units += 1
         return result
 
     # -- request handlers ----------------------------------------------
@@ -191,7 +185,6 @@ class Session:
             paths,
             checks=tuple(checks) if checks else self.check_names,
             whole_program=whole,
-            jobs=self.jobs,
             sources=self.overlay,
             cache=self.cache,
             parse_unit=parse_unit,
@@ -392,14 +385,7 @@ class Session:
 
     def stats(self, params: dict[str, Any]) -> dict[str, Any]:
         """Counters and resident-state shape: cache tiers, memo sizes,
-        request counts, and the accumulated stage timings."""
-        timings = StageTimings(
-            parse_seconds=self._parse_seconds,
-            congen_seconds=self._analyze_seconds - self._parse_seconds
-            if self._analyze_seconds > self._parse_seconds
-            else 0.0,
-            solve_seconds=self._render_seconds,
-        )
+        request counts, and the accumulated stage totals."""
         cache = self.cache.stats
         return {
             "uptime_ms": round((time.monotonic() - self.started) * 1000, 1),
@@ -430,7 +416,6 @@ class Session:
                 "analyze": round(self._analyze_seconds * 1000, 3),
                 "render": round(self._render_seconds * 1000, 3),
             },
-            "stage_timings": timings.summary(),
             "last_analyze_ms": round(self._last_analyze_seconds * 1000, 3),
         }
 

@@ -13,7 +13,6 @@ import pytest
 from repro import gcscope
 from repro.benchsuite.suite import load_program, spec_by_name
 from repro.cfront import cparser
-from repro.cfront.sema import Program
 from repro.checker import runner
 from repro.checker.checks import ALL_CHECKS
 from repro.checker.engine import check_source
@@ -137,30 +136,6 @@ def test_entry_points_keep_their_names():
         assert fn.__name__ == name
         assert fn.__module__ == module.__name__
         assert hasattr(fn, "__wrapped__")
-
-
-SOURCE = """
-int *shared;
-int leaf_a(int *p) { return *p; }
-int leaf_b(const char *s) { return s ? 1 : 0; }
-int leaf_c(int *q) { *q = 1; return 0; }
-int top(void) { return leaf_a(shared) + leaf_b("x") + leaf_c(shared); }
-"""
-
-
-def test_wavefront_workers_run_deferred_and_thresholds_come_back(monkeypatch):
-    original = engine._analyze_component
-    seen = []
-
-    def recording(*args):
-        seen.append((threading.current_thread().name, gc.get_threshold()[2]))
-        return original(*args)
-
-    monkeypatch.setattr(engine, "_analyze_component", recording)
-    engine.run_poly(Program.from_source(SOURCE), jobs=2)
-    assert any(name.startswith("wavefront") for name, _ in seen)
-    assert {gen2 for _, gen2 in seen} == {DEFERRED_GEN2_THRESHOLD}
-    assert gc.get_threshold() == CALLER
 
 
 @pytest.fixture(scope="module")
